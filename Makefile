@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzOBJParse -fuzztime=$(FUZZTIME) ./internal/mesh/
 	$(GO) test -run=^$$ -fuzz=FuzzEdgeRequestDecode -fuzztime=$(FUZZTIME) ./internal/edge/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
+	$(GO) test -run=^$$ -fuzz=FuzzSessionJSON -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/
 
 # cover runs the full suite with coverage and prints the per-function

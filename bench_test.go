@@ -10,7 +10,6 @@ package hbo_test
 // The printable artifacts themselves come from cmd/hbobench.
 
 import (
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -220,11 +219,7 @@ func benchChaosSession(b *testing.B, failStop bool) {
 		for _, c := range spec.Objects {
 			specs = append(specs, c.Spec)
 		}
-		srv, err := edge.NewServer(specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
+		ts, stop := serveEdge(b, specs)
 		inj := faults.NewTransport(nil, uint64(i+1), faults.Plan{
 			DropRate:        0.3,
 			ServerErrorRate: 0.3,
@@ -242,18 +237,18 @@ func benchChaosSession(b *testing.B, failStop bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt := built.Runtime
-		rt.SetLODProvider(client)
-		if !failStop {
-			rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
-			rt.SetBOBackend(client, 42)
-		}
 		hboCfg := core.DefaultConfig()
 		hboCfg.InitSamples = 2
 		hboCfg.Iterations = 2
 		hboCfg.PeriodMS = 400
 		hboCfg.SettleMS = 100
 		hboCfg.MonitorIntervalMS = 500
+		rt := built.Runtime
+		rt.SetLODProvider(client)
+		if !failStop {
+			rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
+			rt.SetBOBackend(remoteBO(b, client, hboCfg), 42)
+		}
 		sess, err := core.NewSession(rt, core.SessionConfig{
 			HBO:                hboCfg,
 			Mode:               core.Periodic,
@@ -273,7 +268,7 @@ func benchChaosSession(b *testing.B, failStop bool) {
 			totalReward += s.Reward
 			totalWindows++
 		}
-		ts.Close()
+		stop()
 	}
 	if totalWindows > 0 {
 		b.ReportMetric(totalReward/float64(totalWindows), "reward/window")

@@ -7,17 +7,56 @@ package hbo_test
 // the fault schedule clears (circuit breaker back to closed).
 
 import (
+	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/core"
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/faults"
 	"github.com/mar-hbo/hbo/internal/render"
 	"github.com/mar-hbo/hbo/internal/scenario"
 	"github.com/mar-hbo/hbo/internal/sim"
+	"github.com/mar-hbo/hbo/internal/tasks"
 )
+
+// serveEdge serves the decimation routes and the session service on one
+// mux, as cmd/hboedge does. The returned func stops the server and then
+// the session workers.
+func serveEdge(tb testing.TB, specs []render.ObjectSpec) (*httptest.Server, func()) {
+	tb.Helper()
+	srv, err := edge.NewServer(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc, err := sessiond.New(sessiond.DefaultConfig(), srv)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	svc.Register(mux)
+	ts := httptest.NewServer(mux)
+	return ts, func() {
+		ts.Close()
+		svc.Close()
+	}
+}
+
+// remoteBO proposes BO configurations through a server-side session over
+// ec, the same client that fetches meshes, so one breaker sees all edge
+// traffic.
+func remoteBO(tb testing.TB, ec *edge.Client, hbo core.Config) *sessiond.Backend {
+	tb.Helper()
+	sc, err := sessiond.NewClient(ec, "chaos", tasks.NumResources, hbo.RMin, 42, hbo.InitSamples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sessiond.NewBackend(context.Background(), sc)
+}
 
 // chaosPlan fails every request (each non-dropped one gets a 503) and adds
 // heavy-tailed latency — drops, spikes, and a 5xx burst at once.
@@ -55,12 +94,8 @@ func TestChaosSessionSurvivesUnreliableEdge(t *testing.T) {
 	for _, c := range spec.Objects {
 		specs = append(specs, c.Spec)
 	}
-	srv, err := edge.NewServer(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts, stop := serveEdge(t, specs)
+	defer stop()
 
 	inj := faults.NewTransport(nil, 3, faults.Plan{})
 	cfg := edge.DefaultClientConfig()
@@ -79,8 +114,9 @@ func TestChaosSessionSurvivesUnreliableEdge(t *testing.T) {
 	rt := built.Runtime
 	rt.SetLODProvider(client)
 	rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
-	rt.SetBOBackend(client, 42)
-	sess, err := core.NewSession(rt, chaosSessionConfig(), sim.NewRNG(7))
+	sessCfg := chaosSessionConfig()
+	rt.SetBOBackend(remoteBO(t, client, sessCfg.HBO), 42)
+	sess, err := core.NewSession(rt, sessCfg, sim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Edgeoffload: the distributed path of the paper's Figure 3 and §VI. A
-// local edge server runs the virtual-object decimation algorithm, the Eq. 1
-// parameter training, and — per §VI's overhead discussion — the Bayesian
-// optimization step itself; the MAR client downloads decimated meshes
-// through an LRU cache and drives a remote BO loop whose per-iteration
-// payload is a few dozen bytes.
+// local edge server runs the virtual-object decimation algorithm and — per
+// §VI's overhead discussion — the Bayesian optimization step itself, in a
+// server-side session that keeps the client's optimizer alive between
+// calls; the MAR client downloads decimated meshes through an LRU cache,
+// fits the Eq. 1 quality model on-device, and drives a remote BO loop whose
+// per-iteration payload is a few dozen bytes.
 //
 // This example exercises the wire protocol end to end on a loopback
 // listener — including what happens when the link misbehaves: a fault
@@ -13,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/faults"
 	"github.com/mar-hbo/hbo/internal/quality"
 	"github.com/mar-hbo/hbo/internal/render"
@@ -35,7 +38,9 @@ func main() {
 }
 
 func run() error {
-	// Start the edge server on a loopback port.
+	ctx := context.Background()
+	// Start the edge server on a loopback port: the decimation routes plus
+	// the session service, on one mux as cmd/hboedge mounts them.
 	specs := make([]render.ObjectSpec, 0)
 	for _, c := range render.SC1() {
 		specs = append(specs, c.Spec)
@@ -44,16 +49,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	sessions, err := sessiond.New(sessiond.DefaultConfig(), srv)
+	if err != nil {
+		return err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	sessions.Register(mux)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	defer func() {
 		_ = httpSrv.Close()
 		<-serveErr // wait for the serve goroutine to exit
+		sessions.Close()
 	}()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("edge server on %s\n\n", base)
@@ -84,48 +97,56 @@ func run() error {
 	hits, misses := client.CacheStats()
 	fmt.Printf("local decimation cache: %d hits, %d misses\n\n", hits, misses)
 
-	// 2. Server-side Eq. 1 parameter training from quality-assessment
-	// samples measured on-device.
+	// 2. On-device Eq. 1 parameter fitting from quality-assessment samples.
 	truth := quality.Truth{Severity: 0.65, Gamma: 1.5, DistExp: 1.1}
 	rng := sim.NewRNG(5)
 	samples := quality.CollectSamples(truth,
 		[]float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0}, []float64{0.5, 1, 2, 4}, rng, 0.04)
-	params, err := client.Train("apricot", samples)
+	params, err := quality.Fit(samples)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trained Eq.1 params: a=%.3f b=%.3f c=%.3f d=%.3f\n", params.A, params.B, params.C, params.D)
+	fmt.Printf("fitted Eq.1 params: a=%.3f b=%.3f c=%.3f d=%.3f\n", params.A, params.B, params.C, params.D)
 	fmt.Printf("predicted error at R=0.5, D=1.5m: %.3f\n\n", params.Error(0.5, 1.5))
 
-	// 3. Remote Bayesian optimization: the device only uploads (point,
-	// cost) observations and downloads the next configuration to test.
-	// Here the black box is a synthetic stand-in for the measured cost.
+	// 3. Remote Bayesian optimization: the server keeps this client's
+	// optimizer in a session (its first 5 suggestions are the random init
+	// samples); the device uploads each (point, cost) observation and
+	// downloads the next configuration to test. Here the black box is a
+	// synthetic stand-in for the measured cost.
 	cost := func(p []float64) float64 {
 		dx := p[3] - 0.72
 		return (1-p[2])*0.8 + 3*dx*dx
 	}
-	var obs []edge.Observation
-	rng2 := sim.NewRNG(9)
-	for i := 0; i < 5; i++ { // initial random exploration happens on-device
-		p := []float64{0, 0, 0, 0}
-		rng2.Dirichlet(1, p[:3])
-		p[3] = 0.1 + 0.9*rng2.Float64()
-		obs = append(obs, edge.Observation{Point: p, Cost: cost(p)})
+	remote, err := sessiond.NewClient(client, "edgeoffload", 3, 0.1, 42, 5)
+	if err != nil {
+		return err
 	}
-	best := obs[0]
-	for iter := 0; iter < 10; iter++ {
-		point, err := client.BONext(3, 0.1, 42, obs)
+	if _, err := remote.Open(ctx); err != nil {
+		return err
+	}
+	const iterations = 15
+	var best []float64
+	bestCost := 0.0
+	for i := 0; i < iterations; i++ {
+		point, err := remote.Suggest(ctx)
 		if err != nil {
 			return err
 		}
-		o := edge.Observation{Point: point, Cost: cost(point)}
-		obs = append(obs, o)
-		if o.Cost < best.Cost {
-			best = o
+		c := cost(point)
+		// The index makes the upload exactly-once under the client's retries.
+		if err := remote.ObserveAt(ctx, i, point, c); err != nil {
+			return err
+		}
+		if best == nil || c < bestCost {
+			best, bestCost = point, c
 		}
 	}
+	if err := remote.CloseSession(ctx); err != nil {
+		return err
+	}
 	fmt.Printf("remote BO after %d iterations: best cost %.3f at ratio %.2f (target 0.72)\n\n",
-		len(obs), best.Cost, best.Point[3])
+		iterations, bestCost, best[3])
 
 	// 4. Fault tolerance. First a lossy-but-alive link: half the requests
 	// drop, and the client's retry/backoff loop absorbs them.

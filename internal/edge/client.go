@@ -16,7 +16,6 @@ import (
 
 	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/obs"
-	"github.com/mar-hbo/hbo/internal/quality"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -27,9 +26,11 @@ type ClientConfig struct {
 	// Timeout bounds each individual HTTP attempt.
 	Timeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried (so a call
-	// makes at most 1+MaxRetries attempts). All three edge endpoints are
-	// pure computations, hence idempotent and safe to retry. 0 disables
-	// retries — the fail-stop client the chaos bench compares against.
+	// makes at most 1+MaxRetries attempts). Every edge call is safe to
+	// retry: decimation is a pure computation, a session open is
+	// idempotent, and an indexed observe is acknowledged rather than
+	// applied twice. 0 disables retries — the fail-stop client the chaos
+	// bench compares against.
 	MaxRetries int
 	// BackoffBase and BackoffMax shape the capped exponential backoff
 	// between attempts: base·2^(attempt−1), capped, with up to 50%
@@ -341,56 +342,6 @@ func (c *Client) insert(key cacheKey, m *mesh.Mesh) {
 	}
 }
 
-// Train fits Eq. 1 parameters server-side from the given samples.
-func (c *Client) Train(object string, samples []quality.Sample) (quality.Params, error) {
-	//lint:allow ctxlint public convenience wrapper; TrainContext is the threaded variant
-	return c.TrainContext(context.Background(), object, samples)
-}
-
-// TrainContext is Train with caller-controlled cancellation.
-func (c *Client) TrainContext(ctx context.Context, object string, samples []quality.Sample) (quality.Params, error) {
-	var resp TrainResponse
-	if err := c.post(ctx, "/train", TrainRequest{Object: object, Samples: samples}, &resp); err != nil {
-		return quality.Params{}, err
-	}
-	p := quality.Params{A: resp.A, B: resp.B, C: resp.C, D: resp.D}
-	return p, p.Validate()
-}
-
-// BONext uploads the observation database and returns the next
-// configuration to test (remote Bayesian optimization, §VI).
-func (c *Client) BONext(resources int, rmin float64, seed uint64, obs []Observation) ([]float64, error) {
-	//lint:allow ctxlint public convenience wrapper; BONextContext is the threaded variant
-	return c.BONextContext(context.Background(), resources, rmin, seed, obs)
-}
-
-// BONextContext is BONext with caller-controlled cancellation.
-func (c *Client) BONextContext(ctx context.Context, resources int, rmin float64, seed uint64, obs []Observation) ([]float64, error) {
-	var resp BONextResponse
-	req := BONextRequest{Resources: resources, RMin: rmin, Seed: seed, Observations: obs}
-	if err := c.post(ctx, "/bo/next", req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Point) != resources+1 {
-		return nil, fmt.Errorf("edge: server returned %d-dim point, want %d", len(resp.Point), resources+1)
-	}
-	return resp.Point, nil
-}
-
-// BONextPoint adapts BONext to parallel point/cost slices — the shape
-// core.BOBackend wants, so a session can plug the client in as its remote
-// BO proposer without importing this package's wire types.
-func (c *Client) BONextPoint(resources int, rmin float64, seed uint64, points [][]float64, costs []float64) ([]float64, error) {
-	if len(points) != len(costs) {
-		return nil, fmt.Errorf("edge: %d points vs %d costs", len(points), len(costs))
-	}
-	obs := make([]Observation, len(points))
-	for i := range points {
-		obs[i] = Observation{Point: points[i], Cost: costs[i]}
-	}
-	return c.BONext(resources, rmin, seed, obs)
-}
-
 // statusError is a non-2xx response, kept typed so the retry policy can
 // distinguish server-side bursts (5xx, retryable) from rejections (4xx),
 // and so an admission controller's Retry-After hint survives into the
@@ -422,9 +373,8 @@ func NewStatusError(code int, msg string, retryAfter time.Duration) error {
 }
 
 // PermanentError marks an error as categorically non-retryable, whatever
-// its underlying cause. The stream client uses it when a server simply has
-// no /session/stream route: retrying cannot help, and the caller falls back
-// to the JSON path instead.
+// its underlying cause. The stream client uses it when a server has no
+// /session/stream route or refuses its wire version: retrying cannot help.
 type PermanentError struct{ Err error }
 
 func (e *PermanentError) Error() string { return e.Err.Error() }

@@ -222,22 +222,6 @@ func TestClientErrorsNotRetried(t *testing.T) {
 	}
 }
 
-func TestBONextDimensionMismatch(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{"point":[0.5,0.5]}`))
-	}))
-	defer ts.Close()
-	cfg := testClientConfig()
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.BONext(3, 0.1, 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "2-dim point, want 4") {
-		t.Fatalf("dimension mismatch: err = %v", err)
-	}
-}
-
 func TestBreakerOpensAndShortCircuits(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	client, tr, closeFn := newFaultyPair(t, faults.Plan{DropRate: 1}, 1, func(cfg *ClientConfig) {

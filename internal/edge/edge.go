@@ -1,11 +1,12 @@
 // Package edge implements the edge-server side of the paper's Figure 3
 // architecture: a small HTTP service that runs the virtual-object decimation
-// algorithm and the Eq. 1 parameter training for its clients, plus the §VI
-// option of offloading the Bayesian-optimization step itself ("the payload
-// for exchanging such information is in the order of a few Bytes"). The
-// matching client keeps a local cache of decimated versions, exactly as the
-// paper's HBO control plane does ("each decimated version can either be
-// found in the local cache or downloaded from a server").
+// algorithm for its clients. The matching client keeps a local cache of
+// decimated versions, exactly as the paper's HBO control plane does ("each
+// decimated version can either be found in the local cache or downloaded
+// from a server"), and carries the fault-tolerance stack (retries, backoff,
+// circuit breaker) every edge call rides on. The §VI option of offloading
+// the Bayesian-optimization step itself lives in package sessiond, which
+// keeps each client's optimizer alive server-side.
 package edge
 
 import (
@@ -17,29 +18,16 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/obs"
-	"github.com/mar-hbo/hbo/internal/quality"
 	"github.com/mar-hbo/hbo/internal/render"
-	"github.com/mar-hbo/hbo/internal/sim"
 )
 
-// Server-side request limits. One client is a single MAR session, so even
-// generous bounds are tiny next to what an unvalidated request could cost:
-// an unbounded body pins memory, an enormous BO database pins a CPU for the
-// O(K^3) GP fit, and a handler that never finishes pins a connection.
+// Server-side request limits: an unbounded body pins memory, and a handler
+// that never finishes pins a connection.
 const (
-	// maxRequestBytes bounds any request body (a full Table II training
-	// upload is well under 1 MiB).
+	// maxRequestBytes bounds any request body.
 	maxRequestBytes = 4 << 20
-	// maxTrainSamples bounds one /train upload.
-	maxTrainSamples = 100000
-	// maxObservations bounds the /bo/next database (the paper's budget is
-	// 20 observations per activation).
-	maxObservations = 10000
-	// maxResources bounds the BO domain dimensionality.
-	maxResources = 64
 	// handlerTimeout bounds one request's server-side work.
 	handlerTimeout = 30 * time.Second
 )
@@ -97,42 +85,6 @@ type DecimateResponse struct {
 	Mesh      MeshPayload `json:"mesh"`
 }
 
-// TrainRequest carries quality-assessment samples for Eq. 1 fitting.
-type TrainRequest struct {
-	Object  string           `json:"object"`
-	Samples []quality.Sample `json:"samples"`
-}
-
-// TrainResponse returns the fitted parameters.
-type TrainResponse struct {
-	Object string  `json:"object"`
-	A      float64 `json:"a"`
-	B      float64 `json:"b"`
-	C      float64 `json:"c"`
-	D      float64 `json:"d"`
-}
-
-// Observation is one (configuration, cost) pair of the BO database D.
-type Observation struct {
-	Point []float64 `json:"point"`
-	Cost  float64   `json:"cost"`
-}
-
-// BONextRequest uploads the BO database and domain; the server returns the
-// next configuration to test. This is the §VI remote-BO path: the payload is
-// a few dozen bytes per iteration.
-type BONextRequest struct {
-	Resources    int           `json:"resources"`
-	RMin         float64       `json:"rmin"`
-	Seed         uint64        `json:"seed"`
-	Observations []Observation `json:"observations"`
-}
-
-// BONextResponse returns the next configuration to evaluate.
-type BONextResponse struct {
-	Point []float64 `json:"point"`
-}
-
 // Server is the edge service. It owns the object catalog whose meshes it can
 // decimate. Safe for concurrent use: net/http serves each request on its own
 // goroutine.
@@ -173,8 +125,6 @@ func NewServer(specs []render.ObjectSpec) (*Server, error) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /decimate", s.instrument("decimate", guard(s.handleDecimate)))
-	mux.Handle("POST /train", s.instrument("train", guard(s.handleTrain)))
-	mux.Handle("POST /bo/next", s.instrument("bo_next", guard(s.handleBONext)))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		_, _ = w.Write([]byte("ok\n"))
@@ -309,56 +259,6 @@ func (s *Server) handleDecimate(w http.ResponseWriter, r *http.Request) {
 		Triangles: dec.TriangleCount(),
 		Mesh:      FromMesh(dec),
 	})
-}
-
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var req TrainRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if len(req.Samples) > maxTrainSamples {
-		http.Error(w, fmt.Sprintf("%d samples over the %d limit", len(req.Samples), maxTrainSamples), http.StatusBadRequest)
-		return
-	}
-	p, err := quality.Fit(req.Samples)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	writeJSON(w, TrainResponse{Object: req.Object, A: p.A, B: p.B, C: p.C, D: p.D})
-}
-
-func (s *Server) handleBONext(w http.ResponseWriter, r *http.Request) {
-	var req BONextRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if req.Resources < 1 || req.Resources > maxResources {
-		http.Error(w, fmt.Sprintf("resources %d out of [1,%d]", req.Resources, maxResources), http.StatusBadRequest)
-		return
-	}
-	if len(req.Observations) > maxObservations {
-		http.Error(w, fmt.Sprintf("%d observations over the %d limit", len(req.Observations), maxObservations), http.StatusBadRequest)
-		return
-	}
-	dom := bo.Domain{N: req.Resources, RMin: req.RMin}
-	opt, err := bo.NewOptimizer(dom, bo.DefaultConfig(), sim.NewRNG(req.Seed))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	for _, o := range req.Observations {
-		if err := opt.Observe(o.Point, o.Cost); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-	}
-	point, err := opt.Next()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, BONextResponse{Point: point})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

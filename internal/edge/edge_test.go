@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mar-hbo/hbo/internal/quality"
 	"github.com/mar-hbo/hbo/internal/render"
-	"github.com/mar-hbo/hbo/internal/sim"
 )
 
 func newPair(t *testing.T, cacheCap int) (*Server, *Client, func()) {
@@ -97,69 +95,6 @@ func TestDecimateErrors(t *testing.T) {
 	}
 	if _, err := client.Decimate("apricot", 1.5); err == nil {
 		t.Fatal("ratio > 1 accepted")
-	}
-}
-
-func TestTrainRoundTrip(t *testing.T) {
-	_, client, closeFn := newPair(t, 4)
-	defer closeFn()
-	truth := quality.Truth{Severity: 0.6, Gamma: 1.5, DistExp: 1.1}
-	rng := sim.NewRNG(3)
-	samples := quality.CollectSamples(truth,
-		[]float64{0.1, 0.3, 0.5, 0.7, 0.9, 1}, []float64{0.5, 1, 2, 4}, rng, 0.03)
-	p, err := client.Train("apricot", samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Error(1, 1) > 0.1 {
-		t.Fatalf("trained params give error %v at full quality", p.Error(1, 1))
-	}
-	if p.Error(0.2, 1) < 0.2 {
-		t.Fatalf("trained params give error %v at heavy decimation, want substantial", p.Error(0.2, 1))
-	}
-	// Unfittable sample sets surface as errors.
-	if _, err := client.Train("apricot", nil); err == nil {
-		t.Fatal("empty training set accepted")
-	}
-}
-
-func TestBONextRoundTrip(t *testing.T) {
-	_, client, closeFn := newPair(t, 4)
-	defer closeFn()
-	obs := []Observation{
-		{Point: []float64{0.5, 0.3, 0.2, 0.8}, Cost: 1.0},
-		{Point: []float64{0.1, 0.8, 0.1, 0.5}, Cost: 0.4},
-		{Point: []float64{0.3, 0.3, 0.4, 0.3}, Cost: 0.7},
-		{Point: []float64{0.2, 0.6, 0.2, 0.9}, Cost: 0.5},
-		{Point: []float64{0.6, 0.2, 0.2, 0.2}, Cost: 1.2},
-	}
-	point, err := client.BONext(3, 0.1, 42, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(point) != 4 {
-		t.Fatalf("point dim = %d", len(point))
-	}
-	sum := point[0] + point[1] + point[2]
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("returned proportions sum to %v", sum)
-	}
-	if point[3] < 0.1 || point[3] > 1 {
-		t.Fatalf("returned ratio %v out of bounds", point[3])
-	}
-	// Determinism: same database and seed yield the same suggestion.
-	again, err := client.BONext(3, 0.1, 42, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range point {
-		if point[i] != again[i] {
-			t.Fatalf("remote BO not deterministic: %v vs %v", point, again)
-		}
-	}
-	// Bad observations are rejected.
-	if _, err := client.BONext(3, 0.1, 1, []Observation{{Point: []float64{9, 9, 9, 9}, Cost: 1}}); err == nil {
-		t.Fatal("out-of-domain observation accepted")
 	}
 }
 
@@ -344,24 +279,24 @@ func TestServerRejectsOversizeBody(t *testing.T) {
 	}
 }
 
-func TestServerValidatesBONextLimits(t *testing.T) {
+// TestRetiredRoutes404 pins that the stateless /train and /bo/next routes
+// are gone: Eq. 1 fits on-device, and remote BO runs through sessiond's
+// server-side sessions.
+func TestRetiredRoutes404(t *testing.T) {
 	srv, err := NewServer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for name, body := range map[string]string{
-		"zero resources": `{"resources":0,"rmin":0.1}`,
-		"huge resources": `{"resources":1000,"rmin":0.1}`,
-	} {
-		resp, err := http.Post(ts.URL+"/bo/next", "application/json", strings.NewReader(body))
+	for _, path := range []string{"/train", "/bo/next"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"resources":3,"rmin":0.1}`))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status = %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package sessiond
 import (
 	"fmt"
 	"math"
+
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
 // suggestJob is one queued suggest call; reply is buffered so the worker
@@ -22,7 +24,7 @@ type suggestResult struct {
 // the shard's queue has room right now. ok=false is the caller's cue to
 // reject with Retry-After.
 func (s *Service) enqueueSuggest(sess *session, job *suggestJob) bool {
-	sh := s.shardFor(sess.id)
+	sh := s.shardFor(fnv32a(sess.id))
 	select {
 	case sh.queue <- job:
 		if depth := float64(len(sh.queue)); depth > s.metQueueHighTide.Value() {
@@ -73,11 +75,16 @@ func (s *Service) worker(sh *shard) {
 }
 
 // suggestOne serves one suggest against the session's persistent optimizer.
+// A session evicted since the suggest was admitted answers errGone: its
+// snapshot predates this suggest's RNG advance.
 //
 //hbo:noalloc
 func suggestOne(sess *session) suggestResult {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.gone {
+		return suggestResult{err: errGone}
+	}
 	point, err := sess.opt.Next()
 	if err != nil {
 		return suggestResult{err: fmt.Errorf("sessiond: suggest for %s: %w", sess.id, err)}
@@ -88,25 +95,38 @@ func suggestOne(sess *session) suggestResult {
 }
 
 // observe records one (point, cost) pair into the session's GP history and
-// activation window, returning the database size and the session's mutation
-// count since its last snapshot (the periodic-snapshot trigger input).
-func (sess *session) observe(point []float64, cost float64) (int, int, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.observeLocked(point, cost)
-}
-
-// observeLocked is observe's body for callers already holding sess.mu (the
-// stream path's indexed observe checks the database size under the same
-// lock acquisition as the append).
+// activation window, returning the database size and the session's
+// mutation count since its last snapshot (the periodic-snapshot trigger
+// input). index is the 0-based database slot the caller says the
+// observation belongs in, checked under the same lock acquisition as the
+// append; wire.NoIndex skips the check and appends. An index below the
+// current size is a replay of an observation the session already holds —
+// acknowledged (dup=true) without a second append, so a client retrying an
+// observe whose response was lost cannot double-apply it. An index beyond
+// the current size is a gap (the client skipped an observation) and is
+// rejected, and so is any observe on a session eviction marked gone.
 //
 //hbo:noalloc
-func (sess *session) observeLocked(point []float64, cost float64) (int, int, error) {
-	if sess.opt.Observations() >= maxSessionObservations {
-		return 0, 0, fmt.Errorf("sessiond: session %s at the %d-observation limit", sess.id, maxSessionObservations)
+func (sess *session) observe(index uint32, point []float64, cost float64) (n, dirty int, dup bool, err error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.gone {
+		return 0, 0, false, errGone
+	}
+	cur := sess.opt.Observations()
+	if index != wire.NoIndex {
+		if int64(index) < int64(cur) {
+			return cur, sess.dirty, true, nil
+		}
+		if int64(index) > int64(cur) {
+			return 0, 0, false, fmt.Errorf("sessiond: observe index %d ahead of session %s at %d observations", index, sess.id, cur)
+		}
+	}
+	if cur >= maxSessionObservations {
+		return 0, 0, false, fmt.Errorf("sessiond: session %s at the %d-observation limit", sess.id, maxSessionObservations)
 	}
 	if err := sess.opt.Observe(point, cost); err != nil {
-		return 0, 0, err
+		return 0, 0, false, err
 	}
 	sess.observes++
 	sess.dirty++
@@ -114,7 +134,7 @@ func (sess *session) observeLocked(point []float64, cost float64) (int, int, err
 	if len(sess.window) > windowCap {
 		sess.window = sess.window[len(sess.window)-windowCap:]
 	}
-	return sess.opt.Observations(), sess.dirty, nil
+	return sess.opt.Observations(), sess.dirty, false, nil
 }
 
 // observations reads the session's current database size.

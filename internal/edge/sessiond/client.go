@@ -2,7 +2,6 @@ package sessiond
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -27,8 +26,7 @@ type Client struct {
 	p  params
 
 	// stream, when set, carries open/suggest/observe/close as binary frames
-	// over one multiplexed connection; nil (and any server that turns out
-	// not to speak the protocol) means the JSON POST routes.
+	// over one multiplexed connection; nil means the JSON POST routes.
 	stream *StreamClient
 
 	reopens  int
@@ -88,14 +86,10 @@ func (c *Client) SetObserver(reg *obs.Registry) {
 // SetStream attaches a stream transport for the session calls
 // (open/suggest/observe/close — decimate stays on JSON, mesh payloads are
 // not frame traffic). The StreamClient may be shared across many session
-// clients; it multiplexes them over one connection. Against a server
-// without the stream route, every call transparently falls back to the
-// JSON path after one cheap probe. Passing nil detaches.
+// clients; it multiplexes them over one connection. A server without the
+// stream route fails every call fast, without retries. Passing nil
+// detaches.
 func (c *Client) SetStream(sc *StreamClient) { c.stream = sc }
-
-// useJSON reports whether err is the stream transport saying "this server
-// does not speak the protocol" — the cue to serve the call over JSON.
-func useJSON(err error) bool { return errors.Is(err, ErrStreamUnsupported) }
 
 // ID returns the session identifier.
 func (c *Client) ID() string { return c.id }
@@ -120,10 +114,7 @@ func (c *Client) Available() bool { return c.ec.Available() }
 func (c *Client) Open(ctx context.Context) (OpenResponse, error) {
 	req := OpenRequest{ID: c.id, Resources: c.p.resources, RMin: c.p.rmin, Seed: c.p.seed, Init: c.p.init, Policy: c.p.policy}
 	if c.stream != nil {
-		resp, err := c.stream.Open(ctx, req)
-		if err == nil || !useJSON(err) {
-			return resp, err
-		}
+		return c.stream.Open(ctx, req)
 	}
 	var resp OpenResponse
 	if err := c.ec.PostJSON(ctx, "/session/open", req, &resp); err != nil {
@@ -145,18 +136,14 @@ func (c *Client) Suggest(ctx context.Context) ([]float64, error) {
 
 func (c *Client) suggest(ctx context.Context) ([]float64, error) {
 	var resp SuggestResponse
+	var err error
 	if c.stream != nil {
-		sresp, err := c.stream.Suggest(ctx, c.id)
-		if err == nil {
-			resp = sresp
-		} else if !useJSON(err) {
-			return nil, err
-		}
+		resp, err = c.stream.Suggest(ctx, c.id)
+	} else {
+		err = c.ec.PostJSON(ctx, "/session/suggest", SuggestRequest{ID: c.id}, &resp)
 	}
-	if resp.Point == nil {
-		if err := c.ec.PostJSON(ctx, "/session/suggest", SuggestRequest{ID: c.id}, &resp); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	if len(resp.Point) != c.p.resources+1 {
 		return nil, fmt.Errorf("sessiond: server returned %d-dim point, want %d", len(resp.Point), c.p.resources+1)
@@ -172,28 +159,28 @@ func (c *Client) Observe(ctx context.Context, point []float64, cost float64) err
 
 // ObserveAt is Observe with an idempotency index: the 0-based database slot
 // this observation belongs in (how many observations the server held when
-// it was measured). Over the stream transport a retried observe whose
-// first send actually landed is acknowledged rather than double-applied;
-// the JSON path has no index field and appends unconditionally, as it
-// always has. index < 0 means "always append" on both transports.
+// it was measured). On either transport a retried observe whose first send
+// actually landed is acknowledged rather than double-applied. index < 0
+// means "always append".
 func (c *Client) ObserveAt(ctx context.Context, index int, point []float64, cost float64) error {
 	if c.stream != nil {
 		_, err := c.stream.Observe(ctx, c.id, index, point, cost)
-		if err == nil || !useJSON(err) {
-			return err
-		}
+		return err
+	}
+	req := ObserveRequest{ID: c.id, Point: point, Cost: cost}
+	if index >= 0 {
+		slot := uint32(index)
+		req.Index = &slot
 	}
 	var resp ObserveResponse
-	return c.ec.PostJSON(ctx, "/session/observe", ObserveRequest{ID: c.id, Point: point, Cost: cost}, &resp)
+	return c.ec.PostJSON(ctx, "/session/observe", req, &resp)
 }
 
 // CloseSession tears the server-side session down.
 func (c *Client) CloseSession(ctx context.Context) error {
 	if c.stream != nil {
 		_, err := c.stream.CloseSession(ctx, c.id)
-		if err == nil || !useJSON(err) {
-			return err
-		}
+		return err
 	}
 	var resp CloseResponse
 	return c.ec.PostJSON(ctx, "/session/close", CloseRequest{ID: c.id}, &resp)
@@ -269,8 +256,8 @@ func (b *Backend) BONextPoint(resources int, rmin float64, seed uint64, points [
 		b.sent = resp.Observations
 	}
 	for b.sent < len(points) {
-		// The slot index doubles as the idempotency index: over the stream
-		// transport a retry after a lost response cannot double-apply.
+		// The slot index doubles as the idempotency index: a retry after a
+		// lost response cannot double-apply.
 		if err := b.c.ObserveAt(b.ctx, b.sent, points[b.sent], costs[b.sent]); err != nil {
 			if evicted(err) {
 				return b.readmit(points, costs)

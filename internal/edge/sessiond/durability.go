@@ -69,12 +69,17 @@ func (sess *session) snapshotLocked() *snapshot {
 // errors leave the session live and dirty — the next trigger retries — and
 // are surfaced only through counters, because every call site (eviction,
 // drain, periodic) must keep serving regardless.
-func (s *Service) saveSession(sess *session) {
-	if s.cfg.Store == nil || !sess.durable {
-		return
-	}
+//
+// evict also marks the session gone, in the same sess.mu critical section
+// that snapshots it: an op that found the session before the eviction then
+// sees gone and answers 404 instead of changing state the snapshot no
+// longer carries, and the client's readmit restores and replays.
+func (s *Service) saveSession(sess *session, evict bool) {
 	sess.mu.Lock()
-	if sess.dirty == 0 {
+	if evict {
+		sess.gone = true
+	}
+	if s.cfg.Store == nil || !sess.durable || sess.dirty == 0 {
 		sess.mu.Unlock()
 		return
 	}
@@ -199,14 +204,11 @@ func (s *Service) warmRestart() error {
 		return fmt.Errorf("sessiond: warm restart: listing store: %w", err)
 	}
 	for _, id := range ids {
-		if validID(id) != nil {
-			continue
-		}
 		sess, ok := s.loadSession(id)
 		if !ok {
 			continue
 		}
-		sh := s.shardFor(id)
+		sh := s.shardFor(fnv32a(id))
 		sh.mu.Lock()
 		if len(sh.sessions) < s.cfg.SessionsPerShard {
 			sh.tick++
@@ -236,7 +238,7 @@ func (s *Service) Flush() {
 		sh.mu.Unlock()
 		sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
 		for _, sess := range sessions {
-			s.saveSession(sess)
+			s.saveSession(sess, false)
 		}
 	}
 }

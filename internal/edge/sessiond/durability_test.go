@@ -11,6 +11,7 @@ import (
 	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/snapstore"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func driveSession(t *testing.T, sess *session, rounds int) {
 		if res.err != nil {
 			t.Fatalf("suggest %d: %v", i, res.err)
 		}
-		if _, _, err := sess.observe(res.point, driveCost(res.point)); err != nil {
+		if _, _, _, err := sess.observe(wire.NoIndex, res.point, driveCost(res.point)); err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
 	}
@@ -155,7 +156,7 @@ func TestDurabilityEvictionDemotesAndRestores(t *testing.T) {
 		if err := mirror.Observe(want, driveCost(want)); err != nil {
 			t.Fatalf("mirror Observe: %v", err)
 		}
-		if _, _, err := sess2.observe(got.point, driveCost(got.point)); err != nil {
+		if _, _, _, err := sess2.observe(wire.NoIndex, got.point, driveCost(got.point)); err != nil {
 			t.Fatalf("restored observe: %v", err)
 		}
 	}
@@ -200,8 +201,8 @@ func TestDurabilityWarmRestart(t *testing.T) {
 		t.Fatalf("Restores = %d, want %d", d.Restores, len(ids))
 	}
 	for i, id := range ids {
-		sess, ok := svc2.peek(id)
-		if !ok {
+		sess := svc2.find([]byte(id), false)
+		if sess == nil {
 			t.Fatalf("session %s not live after warm restart", id)
 		}
 		mirror := mirrorOptimizer(t, testParams(uint64(100+i)), rounds)
@@ -288,7 +289,7 @@ func TestDurabilityRemoveDeletesSnapshot(t *testing.T) {
 	}
 	driveSession(t, sess, 2)
 	svc.Flush()
-	sh := svc.shardFor("b")
+	sh := svc.shardFor(fnv32a("b"))
 	sh.mu.Lock()
 	delete(sh.sessions, "b")
 	sh.mu.Unlock()
@@ -325,7 +326,7 @@ func TestDurabilityParamChangeDiscardsSnapshot(t *testing.T) {
 
 	// Store-only, then re-open with different parameters: the stale snapshot
 	// is discarded and the session starts fresh.
-	sh := svc.shardFor("a")
+	sh := svc.shardFor(fnv32a("a"))
 	sh.mu.Lock()
 	delete(sh.sessions, "a")
 	sh.mu.Unlock()
@@ -468,7 +469,7 @@ func TestDurabilityHTTP(t *testing.T) {
 
 	// Drop the live session, then re-open: restored, reporting its history
 	// size so a client replays only the tail.
-	sh := svc.shardFor("h")
+	sh := svc.shardFor(fnv32a("h"))
 	sh.mu.Lock()
 	delete(sh.sessions, "h")
 	sh.mu.Unlock()
@@ -516,7 +517,7 @@ func TestDurabilityNilRegistryNoAlloc(t *testing.T) {
 	}
 	// A clean session's save is the steady-state path the periodic trigger
 	// hits over and over; it must stay free.
-	if allocs := testing.AllocsPerRun(100, func() { svc.saveSession(sess) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { svc.saveSession(sess, false) }); allocs != 0 {
 		t.Fatalf("clean saveSession allocates %v times per run, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = svc.Durability() }); allocs != 0 {

@@ -1,16 +1,16 @@
 package sessiond
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
-	"github.com/mar-hbo/hbo/internal/bo/policies"
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
 // Request-handling bounds, mirroring package edge's hardening.
@@ -62,11 +62,16 @@ type SuggestResponse struct {
 	Observations int       `json:"observations"`
 }
 
-// ObserveRequest records one measured (point, cost) pair.
+// ObserveRequest records one measured (point, cost) pair. Index, when
+// present, is the 0-based database slot the observation belongs in, and
+// makes a retried observe exactly-once: an index the session already holds
+// is acknowledged without a second append, one past its size is refused.
+// Absent, the observe appends (so does 4294967295, the wire's NoIndex).
 type ObserveRequest struct {
 	ID    string    `json:"id"`
 	Point []float64 `json:"point"`
 	Cost  float64   `json:"cost"`
+	Index *uint32   `json:"index,omitempty"`
 }
 
 // ObserveResponse echoes the database size after the append.
@@ -138,14 +143,26 @@ type StatsResponse struct {
 	Durability *DurabilityStats `json:"durability,omitempty"`
 }
 
-// Register mounts the session routes on mux. Every POST handler runs behind
+// Register mounts the session routes on mux. Every POST route runs behind
 // the same body cap and per-handler timeout as the core edge routes.
 func (s *Service) Register(mux *http.ServeMux) {
-	mux.Handle("POST /session/open", guard(s.handleOpen))
-	mux.Handle("POST /session/suggest", guard(s.handleSuggest))
-	mux.Handle("POST /session/observe", guard(s.handleObserve))
-	mux.Handle("POST /session/close", guard(s.handleClose))
-	mux.Handle("POST /session/decimate", guard(s.handleDecimate))
+	mux.Handle("POST /session/open", serveJSON(func(_ context.Context, req OpenRequest) (OpenResponse, status) {
+		return s.opOpen(req)
+	}))
+	mux.Handle("POST /session/suggest", serveJSON(s.suggestJSON))
+	mux.Handle("POST /session/observe", serveJSON(func(_ context.Context, req ObserveRequest) (ObserveResponse, status) {
+		index := wire.NoIndex
+		if req.Index != nil {
+			index = *req.Index
+		}
+		return s.opObserve([]byte(req.ID), index, req.Point, req.Cost)
+	}))
+	mux.Handle("POST /session/close", serveJSON(func(_ context.Context, req CloseRequest) (CloseResponse, status) {
+		return s.opClose(req.ID), status{}
+	}))
+	mux.Handle("POST /session/decimate", serveJSON(func(_ context.Context, req DecimateRequest) (DecimateResponse, status) {
+		return s.opDecimate(req)
+	}))
 	// The stream route is deliberately unguarded: TimeoutHandler neither
 	// supports Flush nor tolerates a response that outlives the timeout, and
 	// a body cap would sever a healthy long-lived stream. The wire codec's
@@ -162,197 +179,56 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// guard wraps a handler with the body cap and handler timeout.
-func guard(h http.HandlerFunc) http.Handler {
-	limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// serveJSON is the JSON codec around one op: decode the request from a
+// body behind the size cap and handler timeout, run the op, and encode its
+// result or its status. A body over the cap is a 413, any other decode
+// failure a 400.
+func serveJSON[Req, Resp any](op func(context.Context, Req) (Resp, status)) http.Handler {
+	h := func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-		h(w, r)
-	})
-	return http.TimeoutHandler(limited, handlerTimeout, "sessiond: handler timeout")
-}
-
-// decodeRequest decodes a guarded JSON body: MaxBytesReader trips map to
-// 413, everything else to 400.
-func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
-			return false
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				err = fmt.Errorf("request body over %d bytes", tooLarge.Limit)
+				writeStatus(w, failure(http.StatusRequestEntityTooLarge, err))
+			} else {
+				writeStatus(w, failure(http.StatusBadRequest, err))
+			}
+			return
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
+		resp, st := op(r.Context(), req)
+		if !st.ok() {
+			writeStatus(w, st)
+			return
+		}
+		writeJSON(w, resp)
 	}
-	return true
+	return http.TimeoutHandler(http.HandlerFunc(h), handlerTimeout, "sessiond: handler timeout")
 }
 
-func validID(id string) error {
-	if id == "" {
-		return fmt.Errorf("sessiond: empty session id")
+// writeStatus writes a failed op's status as a plain-text HTTP error.
+func writeStatus(w http.ResponseWriter, st status) {
+	if st.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(st.retryAfter))
 	}
-	if len(id) > maxIDLen {
-		return fmt.Errorf("sessiond: session id over %d bytes", maxIDLen)
-	}
-	return nil
+	http.Error(w, st.msg, st.code)
 }
 
-func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
-	var req OpenRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if err := validID(req.ID); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	p := params{
-		resources: req.Resources,
-		rmin:      req.RMin,
-		seed:      req.Seed,
-		init:      req.Init,
-		policy:    policies.Canonical(req.Policy),
-	}
-	if p.init == 0 {
-		p.init = 5
-	}
-	if err := p.validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sess, res, err := s.open(req.ID, p)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if res.existing {
-		s.metReopens.Inc()
-	} else {
-		s.metOpens.Inc()
-	}
-	if res.evicted != "" {
-		s.metEvictions.Inc()
-	}
-	s.metSessions.Set(float64(s.sessionCount()))
-	writeJSON(w, OpenResponse{
-		ID:           req.ID,
-		Existing:     res.existing,
-		Restored:     res.restored,
-		Evicted:      res.evicted,
-		Observations: sess.observations(),
-		Ephemeral:    !sess.durable,
-	})
-}
-
-func (s *Service) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	var req SuggestRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	sess, ok := s.peek(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
-		return
-	}
-	job := &suggestJob{sess: sess, reply: make(chan suggestResult, 1)}
-	if !s.enqueueSuggest(sess, job) {
-		s.metRejects.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSec))
-		http.Error(w, "sessiond: suggest queue full, retry later", http.StatusServiceUnavailable)
-		return
+// suggestJSON runs a suggest to completion for one JSON request. If the
+// client goes away first, the worker still serves the job; the abandoned
+// reply lands in the buffered channel and is garbage collected with it.
+func (s *Service) suggestJSON(ctx context.Context, req SuggestRequest) (SuggestResponse, status) {
+	job := &suggestJob{reply: make(chan suggestResult, 1)}
+	if st := s.opSuggest([]byte(req.ID), job); !st.ok() {
+		return SuggestResponse{}, st
 	}
 	select {
 	case res := <-job.reply:
-		if res.err != nil {
-			http.Error(w, res.err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.metSuggests.Inc()
-		writeJSON(w, SuggestResponse{Point: res.point, Observations: res.observations})
-	case <-r.Context().Done():
-		// The worker will still serve the job; the abandoned reply lands in
-		// the buffered channel and is garbage collected with it.
-		http.Error(w, "sessiond: client went away", http.StatusServiceUnavailable)
+		return s.finishSuggest(job, res)
+	case <-ctx.Done():
+		return SuggestResponse{}, status{code: http.StatusServiceUnavailable, msg: "sessiond: client went away"}
 	}
-}
-
-func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	sess, ok := s.lookup(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
-		return
-	}
-	if math.IsNaN(req.Cost) || math.IsInf(req.Cost, 0) {
-		http.Error(w, fmt.Sprintf("sessiond: non-finite cost %v", req.Cost), http.StatusUnprocessableEntity)
-		return
-	}
-	n, dirty, err := sess.observe(req.Point, req.Cost)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	s.metObserves.Inc()
-	if s.cfg.SnapshotEvery > 0 && dirty >= s.cfg.SnapshotEvery {
-		s.saveSession(sess)
-	}
-	writeJSON(w, ObserveResponse{Observations: n})
-}
-
-func (s *Service) handleClose(w http.ResponseWriter, r *http.Request) {
-	var req CloseRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	closed := s.remove(req.ID)
-	if closed {
-		s.metCloses.Inc()
-		s.metSessions.Set(float64(s.sessionCount()))
-	}
-	writeJSON(w, CloseResponse{Closed: closed})
-}
-
-func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
-	var req DecimateRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if s.dec == nil {
-		http.Error(w, "sessiond: no decimator attached", http.StatusNotImplemented)
-		return
-	}
-	if math.IsNaN(req.Ratio) || req.Ratio <= 0 || req.Ratio > 1 {
-		http.Error(w, fmt.Sprintf("sessiond: ratio %v out of (0,1]", req.Ratio), http.StatusBadRequest)
-		return
-	}
-	sess, ok := s.lookup(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
-		return
-	}
-	m, cached, err := sess.decimate(s.dec, req.Object, req.Ratio, req.Fast)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	if cached {
-		s.metMeshHits.Inc()
-	} else {
-		s.metMeshMisses.Inc()
-	}
-	s.metDecimates.Inc()
-	writeJSON(w, DecimateResponse{
-		Object:    req.Object,
-		Ratio:     req.Ratio,
-		Triangles: m.TriangleCount(),
-		Cached:    cached,
-		Mesh:      edge.FromMesh(m),
-	})
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

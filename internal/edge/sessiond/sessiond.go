@@ -1,7 +1,6 @@
 // Package sessiond is the multi-tenant session layer of the edge service:
-// where package edge's /bo/next route re-derives a fresh optimizer from the
-// full uploaded database on every call, sessiond keeps one HBO session per
-// connected client alive server-side — its GP history (the BO database and
+// it keeps one HBO session per connected client alive server-side — its GP
+// history (the BO database and
 // the incrementally extended Cholesky factorization), its activation window
 // of recent rewards, and a per-session mesh-cache handle over the shared
 // object catalog.
@@ -23,7 +22,7 @@
 // stamp) and at most Shards GP computations run at once regardless of how
 // many clients are connected. Because every session owns a persistent
 // optimizer, each suggestion is an O(n²) incremental Cholesky extension
-// rather than the stateless route's from-scratch O(n³) refit.
+// rather than a full O(n³) refit over the uploaded history.
 //
 // Determinism contract: a session's suggestion stream is a pure function of
 // its (seed, init, observation sequence) — batching, shard placement, and
@@ -197,6 +196,10 @@ type session struct {
 	// optimizer state) since the last snapshot save; zero means the store
 	// already holds this session's exact state.
 	dirty int
+	// gone is set, under mu, when eviction removes the session from its
+	// shard. Ops that found it earlier then answer 404 instead of mutating
+	// an object its snapshot no longer tracks.
+	gone bool
 }
 
 // Service is the session store plus its HTTP surface. Safe for concurrent

@@ -14,7 +14,7 @@ import (
 //	magic   u32  "HBSS" (0x48425353)
 //	version u16  snapshotVersion
 //	flags   u16  bit0: a GP factor is present; bit1: a policy name follows
-//	id      u16 length + bytes                  (≤ maxIDLen)
+//	id      u16 length + bytes                  (1..maxIDLen)
 //	params  resources u32, rmin f64, seed u64, init u32
 //	counts  suggests u64, observes u64
 //	rng     u64  sim.RNG state
@@ -257,8 +257,8 @@ func decodeSnapshot(blob []byte) (*snapshot, error) {
 
 	s := &snapshot{opt: &bo.OptimizerState{}}
 	idLen := int(r.u16())
-	if r.err == nil && idLen > maxIDLen {
-		return nil, fmt.Errorf("sessiond: snapshot: id length %d over %d", idLen, maxIDLen)
+	if r.err == nil && (idLen == 0 || idLen > maxIDLen) {
+		return nil, fmt.Errorf("sessiond: snapshot: id length %d out of [1,%d]", idLen, maxIDLen)
 	}
 	s.id = string(r.take(idLen))
 	s.p.resources = int(r.u32())

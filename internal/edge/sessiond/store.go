@@ -26,7 +26,7 @@ const (
 )
 
 //hbo:noalloc
-func fnv32aString(id string) uint32 {
+func fnv32a[ID string | []byte](id ID) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(id); i++ {
 		h ^= uint32(id[i])
@@ -35,24 +35,9 @@ func fnv32aString(id string) uint32 {
 	return h
 }
 
-//hbo:noalloc
-func fnv32aBytes(id []byte) uint32 {
-	h := uint32(fnvOffset32)
-	for _, c := range id {
-		h ^= uint32(c)
-		h *= fnvPrime32
-	}
-	return h
-}
-
-// shardFor maps a session ID onto its stripe (FNV-1a).
-func (s *Service) shardFor(id string) *shard {
-	return s.shards[int(fnv32aString(id))%len(s.shards)]
-}
-
-// shardForBytes is shardFor for an ID still aliasing a decode buffer.
-func (s *Service) shardForBytes(id []byte) *shard {
-	return s.shards[int(fnv32aBytes(id))%len(s.shards)]
+// shardFor maps a session ID's FNV-1a hash onto its stripe.
+func (s *Service) shardFor(h uint32) *shard {
+	return s.shards[int(h)%len(s.shards)]
 }
 
 // openResult reports what the open-path state machine did.
@@ -72,7 +57,7 @@ type openResult struct {
 // is snapshotted instead of dropped, so eviction demotes a session to disk
 // rather than destroying it.
 func (s *Service) open(id string, p params) (sess *session, res openResult, err error) {
-	sh := s.shardFor(id)
+	sh := s.shardFor(fnv32a(id))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if cur, ok := sh.sessions[id]; ok {
@@ -113,7 +98,7 @@ func (s *Service) open(id string, p params) (sess *session, res openResult, err 
 		if victim := sh.evictLRULocked(); victim != nil {
 			res.evicted = victim.id
 			// Demote, don't destroy: the victim's next open restores it.
-			s.saveSession(victim) //lint:allow locklint saving after releasing sh.mu would let a concurrent open of the victim id create a fresh session that this stale save then clobbers
+			s.saveSession(victim, true) //lint:allow locklint saving after releasing sh.mu would let a concurrent open of the victim id create a fresh session that this stale save then clobbers
 		}
 	}
 	sh.tick++
@@ -146,64 +131,29 @@ func (sh *shard) evictLRULocked() *session {
 	return victim
 }
 
-// lookup finds a session and touches it (one fresh tick).
-func (s *Service) lookup(id string) (*session, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[id]
-	if !ok {
-		return nil, false
-	}
-	sh.tick++
-	sess.lastTouch = sh.tick
-	return sess, true
-}
-
-// peek finds a session without touching it — enqueueing a suggest does not
-// count as use until the batch drain actually serves it.
-func (s *Service) peek(id string) (*session, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[id]
-	return sess, ok
-}
-
-// lookupBytes is lookup for an ID aliasing a decode buffer: the
-// map index through string(id) compiles to a no-copy lookup, so the stream
-// hot path never materializes the ID as a string.
+// find returns the live session for id, or nil. touch stamps a fresh LRU
+// tick; a suggest finds without touching, because enqueueing it is not use
+// until the batch drain serves it. id may alias a decode buffer: the map
+// index through string(id) compiles to a no-copy lookup.
 //
 //hbo:noalloc
-func (s *Service) lookupBytes(id []byte) (*session, bool) {
-	sh := s.shardForBytes(id)
+func (s *Service) find(id []byte, touch bool) *session {
+	sh := s.shardFor(fnv32a(id))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[string(id)]
-	if !ok {
-		return nil, false
+	sess := sh.sessions[string(id)]
+	if sess != nil && touch {
+		sh.tick++
+		sess.lastTouch = sh.tick
 	}
-	sh.tick++
-	sess.lastTouch = sh.tick
-	return sess, true
-}
-
-// peekBytes is peek for an ID aliasing a decode buffer.
-//
-//hbo:noalloc
-func (s *Service) peekBytes(id []byte) (*session, bool) {
-	sh := s.shardForBytes(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[string(id)]
-	return sess, ok
+	return sess
 }
 
 // remove deletes a session; reports whether it existed in memory or in the
 // store. An explicit close is the one path that destroys durable state —
 // the client said it is done, so the snapshot goes too.
 func (s *Service) remove(id string) bool {
-	sh := s.shardFor(id)
+	sh := s.shardFor(fnv32a(id))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, ok := sh.sessions[id]

@@ -14,24 +14,8 @@ import (
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
-// ErrStreamUnsupported reports that the server has no /session/stream route
-// (or speaks an incompatible wire version). The condition is permanent for
-// the life of the StreamClient: the first detection switches it into JSON
-// mode, every later call fails fast with this error, and Client treats the
-// error as "use the JSON path" — old servers keep working with zero
-// configuration.
-var ErrStreamUnsupported = errors.New("sessiond: server does not support the session stream")
-
 // errStreamClientClosed fails calls issued after Close.
 var errStreamClientClosed = errors.New("sessiond: stream client closed")
-
-type streamMode int
-
-const (
-	modeUnknown streamMode = iota // no probe yet: first call dials
-	modeStream                    // server speaks the stream protocol
-	modeJSON                      // server does not; permanent fallback
-)
 
 // StreamClient multiplexes session calls from any number of sessions over
 // one binary stream connection per server (DESIGN.md §14). Every call runs
@@ -42,13 +26,12 @@ const (
 type StreamClient struct {
 	ec *edge.Client
 
-	// dialMu serializes dialing (and the first-contact support probe), so a
-	// burst of first calls against a JSON-only server costs one failed
-	// probe, not one per caller — never enough to trip the breaker.
+	// dialMu serializes dialing (the Hello probe plus the streaming
+	// exchange), so a burst of first calls shares one connection instead of
+	// racing to open one each.
 	dialMu sync.Mutex //hbo:lockleaf single-flight dial: serializing the blocking probe is this mutex's entire job
 
 	mu     sync.Mutex
-	mode   streamMode
 	conn   *streamConn
 	closed bool
 }
@@ -61,21 +44,6 @@ func NewStreamClient(ec *edge.Client) (*StreamClient, error) {
 		return nil, fmt.Errorf("sessiond: nil edge client")
 	}
 	return &StreamClient{ec: ec}, nil
-}
-
-// Mode reports the negotiated transport: "stream", "json", or "unknown"
-// before first contact.
-func (sc *StreamClient) Mode() string {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	switch sc.mode {
-	case modeStream:
-		return "stream"
-	case modeJSON:
-		return "json"
-	default:
-		return "unknown"
-	}
 }
 
 // Close tears down the live connection (the server sees EOF and ends the
@@ -252,9 +220,7 @@ func (cn *streamConn) roundTrip(ctx context.Context, c *streamCall) error {
 }
 
 // getConn returns the live connection, dialing (and handshaking) if there
-// is none. A server found not to speak the protocol flips the client into
-// permanent JSON mode; the sentinel is wrapped Permanent so the retry loop
-// fails fast instead of burning attempts on a condition retries cannot fix.
+// is none.
 func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 	sc.dialMu.Lock()
 	defer sc.dialMu.Unlock()
@@ -262,10 +228,6 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 	if sc.closed {
 		sc.mu.Unlock()
 		return nil, edge.Permanent(errStreamClientClosed)
-	}
-	if sc.mode == modeJSON {
-		sc.mu.Unlock()
-		return nil, edge.Permanent(ErrStreamUnsupported)
 	}
 	if cn := sc.conn; cn != nil && !cn.dead() {
 		sc.mu.Unlock()
@@ -275,12 +237,6 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 
 	cn, err := sc.dial(ctx)
 	if err != nil {
-		if errors.Is(err, ErrStreamUnsupported) {
-			sc.mu.Lock()
-			sc.mode = modeJSON
-			sc.mu.Unlock()
-			return nil, edge.Permanent(ErrStreamUnsupported)
-		}
 		return nil, err
 	}
 	sc.mu.Lock()
@@ -289,7 +245,6 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 		cn.fail(errStreamClientClosed)
 		return nil, edge.Permanent(errStreamClientClosed)
 	}
-	sc.mode = modeStream
 	sc.conn = cn
 	sc.mu.Unlock()
 	return cn, nil
@@ -297,11 +252,13 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 
 // probe runs the Hello version handshake as one ordinary finite POST: a
 // single Hello frame as the whole request body. This is deliberately NOT
-// the streaming exchange — an old server without the route would sit on an
+// the streaming exchange — a server without the route would sit on an
 // endless request body waiting for EOF before it could even deliver its
 // 404, deadlocking against a client waiting for that response. A finite
-// probe gets an answer from every server: new ones echo a Hello frame,
-// old ones 404 cleanly, version mismatches come back as a typed refusal.
+// probe gets an answer from every server: one that speaks this version
+// echoes a Hello frame; a missing route or a version refusal fails the
+// dial as edge.Permanent, because no retry can change what the server
+// speaks (and a Permanent error leaves the breaker alone).
 func (sc *StreamClient) probe(ctx context.Context) error {
 	var hello wire.Frame
 	hello.Type = wire.THelloReq
@@ -326,9 +283,10 @@ func (sc *StreamClient) probe(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-		// No such route: an old server. Distinct from a session-level 404 —
-		// this must never look like an eviction to the readmit logic.
-		return ErrStreamUnsupported
+		// No such route. Distinct from a session-level 404 — this must
+		// never look like an eviction to the readmit logic, hence no
+		// status error.
+		return edge.Permanent(fmt.Errorf("sessiond: server has no session stream: %s", resp.Status))
 	default:
 		return fmt.Errorf("sessiond: stream probe: server returned %s", resp.Status)
 	}
@@ -340,7 +298,7 @@ func (sc *StreamClient) probe(ctx context.Context) error {
 	if f.Type != wire.THelloResp || f.Version != wire.Version {
 		// Including a TError refusal for an unsupported version: whatever
 		// this server speaks, it is not our protocol.
-		return ErrStreamUnsupported
+		return edge.Permanent(fmt.Errorf("sessiond: server refused wire version %d", wire.Version))
 	}
 	return nil
 }
@@ -374,7 +332,7 @@ func (sc *StreamClient) dial(ctx context.Context) (*streamConn, error) {
 	}
 	if resp.StatusCode != http.StatusOK {
 		// The probe just said this route exists; anything but 200 here is a
-		// transient server problem, not "unsupported".
+		// transient server problem, worth a retry.
 		stop()
 		cancel()
 		_ = pw.Close()
@@ -398,14 +356,6 @@ func (sc *StreamClient) dial(ctx context.Context) (*streamConn, error) {
 // attempt: the retry redials through getConn, and the breaker sees stream
 // and JSON failures as one health signal.
 func (sc *StreamClient) do(ctx context.Context, label string, c *streamCall) error {
-	sc.mu.Lock()
-	latchedJSON := sc.mode == modeJSON
-	sc.mu.Unlock()
-	if latchedJSON {
-		// Already negotiated down: fail fast without touching the retry
-		// stack, so the JSON fallback costs nothing per call.
-		return ErrStreamUnsupported
-	}
 	return sc.ec.Execute(ctx, label, func(ctx context.Context) error {
 		actx, cancel := context.WithTimeout(ctx, sc.ec.AttemptTimeout())
 		defer cancel()
@@ -471,7 +421,7 @@ func (sc *StreamClient) Suggest(ctx context.Context, id string) (SuggestResponse
 // slot the observation belongs in (the count of observations the server
 // held when it was measured); a retried observe whose first send actually
 // landed is then acknowledged instead of double-applied. index < 0 sends
-// wire.NoIndex — the JSON route's unconditional append.
+// wire.NoIndex, an unconditional append.
 func (sc *StreamClient) Observe(ctx context.Context, id string, index int, point []float64, cost float64) (ObserveResponse, error) {
 	c := getCall()
 	defer putCall(c)

@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"time"
 
-	"github.com/mar-hbo/hbo/internal/bo/policies"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
@@ -64,13 +62,13 @@ func getPending() *streamPending {
 
 func putPending(p *streamPending) { pendingPool.Put(p) }
 
-// errFrame turns p into an application-level error response carrying the
-// HTTP status the JSON path would have sent.
-func errFrame(p *streamPending, status int, msg string, retryAfter uint32) {
+// errFrame turns p into an error response carrying an op's status, the
+// same one the JSON codec would have written.
+func errFrame(p *streamPending, st status) {
 	p.f.Type = wire.TError
-	p.f.Status = uint16(status)
-	p.f.RetryAfterSec = retryAfter
-	p.f.Msg = append(p.f.Msg[:0], msg...)
+	p.f.Status = uint16(st.code)
+	p.f.RetryAfterSec = uint32(st.retryAfter)
+	p.f.Msg = append(p.f.Msg[:0], st.msg...)
 }
 
 // handleStream serves one session stream. Registered without the guard
@@ -136,19 +134,8 @@ func (s *Service) streamRead(body io.Reader, out chan<- *streamPending) {
 		s.metStreamFramesIn.Inc()
 		p := getPending()
 		p.f.Seq = f.Seq
-		switch f.Type {
-		case wire.THelloReq:
-			s.streamHello(&f, p)
-		case wire.TOpenReq:
-			s.streamOpen(&f, p)
-		case wire.TSuggestReq:
-			s.streamSuggest(&f, p)
-		case wire.TObserveReq:
-			s.streamObserve(&f, p)
-		case wire.TCloseReq:
-			s.streamClose(&f, p)
-		default:
-			errFrame(p, http.StatusBadRequest, fmt.Sprintf("sessiond: unexpected %v frame", f.Type), 0)
+		if st := s.streamOp(&f, p); !st.ok() {
+			errFrame(p, st)
 		}
 		out <- p
 	}
@@ -169,14 +156,13 @@ func (s *Service) streamWriter(w io.Writer, rc *http.ResponseController, out <-c
 			// The shard worker serves every accepted job, so this receive
 			// always completes; after a write error the loop keeps draining
 			// replies so no worker output is left dangling.
-			res := <-p.job.reply
-			if res.err != nil {
-				errFrame(p, http.StatusInternalServerError, res.err.Error(), 0)
-			} else {
-				s.metSuggests.Inc()
+			resp, st := s.finishSuggest(&p.job, <-p.job.reply)
+			if st.ok() {
 				p.f.Type = wire.TSuggestResp
-				p.f.Observations = uint32(res.observations)
-				p.f.Point = res.point
+				p.f.Observations = uint32(resp.Observations)
+				p.f.Point = resp.Point
+			} else {
+				errFrame(p, st)
 			}
 		}
 		if werr == nil {
@@ -198,146 +184,61 @@ func (s *Service) streamWriter(w io.Writer, rc *http.ResponseController, out <-c
 	}
 }
 
-// streamHello answers version negotiation: the server states the version it
-// will speak. A client version this server does not know is refused with an
-// error frame, and the client falls back to the JSON path.
-func (s *Service) streamHello(req *wire.Frame, p *streamPending) {
-	if req.Version != wire.Version {
-		errFrame(p, http.StatusHTTPVersionNotSupported,
-			fmt.Sprintf("sessiond: unsupported wire version %d (server speaks %d)", req.Version, wire.Version), 0)
-		return
-	}
-	p.f.Type = wire.THelloResp
-	p.f.Version = wire.Version
-}
-
-// streamOpen is the frame twin of handleOpen: same validation, same open
-// state machine, same metrics.
-func (s *Service) streamOpen(req *wire.Frame, p *streamPending) {
-	id := string(req.ID)
-	if err := validID(id); err != nil {
-		errFrame(p, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	pr := params{
-		resources: int(req.Resources),
-		rmin:      req.RMin,
-		seed:      req.Seed,
-		init:      int(req.Init),
-		policy:    policies.Canonical(string(req.Policy)),
-	}
-	if pr.init == 0 {
-		pr.init = 5
-	}
-	if err := pr.validate(); err != nil {
-		errFrame(p, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	sess, res, err := s.open(id, pr)
-	if err != nil {
-		errFrame(p, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if res.existing {
-		s.metReopens.Inc()
-	} else {
-		s.metOpens.Inc()
-	}
-	if res.evicted != "" {
-		s.metEvictions.Inc()
-	}
-	s.metSessions.Set(float64(s.sessionCount()))
-	p.f.Type = wire.TOpenResp
-	if res.existing {
-		p.f.Flags |= wire.FlagExisting
-	}
-	if res.restored {
-		p.f.Flags |= wire.FlagRestored
-	}
-	if !sess.durable {
-		p.f.Flags |= wire.FlagEphemeral
-	}
-	p.f.Evicted = append(p.f.Evicted[:0], res.evicted...)
-	p.f.Observations = uint32(sess.observations())
-}
-
-// streamSuggest enqueues into the shard batch workers behind the same
-// admission control as the JSON route; the writer goroutine completes the
-// response when the worker replies.
-func (s *Service) streamSuggest(req *wire.Frame, p *streamPending) {
-	sess, ok := s.peekBytes(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		errFrame(p, http.StatusNotFound, fmt.Sprintf("sessiond: unknown session %q", req.ID), 0)
-		return
-	}
-	p.job.sess = sess
-	if !s.enqueueSuggest(sess, &p.job) {
-		s.metRejects.Inc()
-		errFrame(p, http.StatusServiceUnavailable, "sessiond: suggest queue full, retry later", uint32(s.cfg.RetryAfterSec))
-		return
-	}
-	p.suggest = true
-}
-
-// streamObserve is the frame twin of handleObserve, plus the idempotency
-// index: a replayed observe (already-applied index) is acknowledged without
-// a second append, which is what makes reconnect-time retries safe.
-func (s *Service) streamObserve(req *wire.Frame, p *streamPending) {
-	sess, ok := s.lookupBytes(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		errFrame(p, http.StatusNotFound, fmt.Sprintf("sessiond: unknown session %q", req.ID), 0)
-		return
-	}
-	if math.IsNaN(req.Cost) || math.IsInf(req.Cost, 0) {
-		errFrame(p, http.StatusUnprocessableEntity, fmt.Sprintf("sessiond: non-finite cost %v", req.Cost), 0)
-		return
-	}
-	n, dirty, dup, err := sess.observeAt(req.Index, req.Point, req.Cost)
-	if err != nil {
-		errFrame(p, http.StatusUnprocessableEntity, err.Error(), 0)
-		return
-	}
-	s.metObserves.Inc()
-	if !dup && s.cfg.SnapshotEvery > 0 && dirty >= s.cfg.SnapshotEvery {
-		s.saveSession(sess)
-	}
-	p.f.Type = wire.TObserveResp
-	p.f.Observations = uint32(n)
-}
-
-// observeAt records one (point, cost) pair with an idempotency index: the
-// caller states which database slot (0-based) the observation should land
-// in. wire.NoIndex skips the check (the JSON path's always-append
-// behavior). An index below the current size is a replay of an observation
-// the session already holds — acknowledged (dup=true) without a second
-// append, so a client retrying an observe whose response was lost to a
-// dropped connection cannot double-apply it. An index beyond the current
-// size is a gap (the client skipped an observation) and is rejected.
-func (sess *session) observeAt(index uint32, point []float64, cost float64) (n, dirty int, dup bool, err error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if index != wire.NoIndex {
-		cur := sess.opt.Observations()
-		if int64(index) < int64(cur) {
-			return cur, sess.dirty, true, nil
+// streamOp decodes one request frame into its op and encodes the result
+// into p. A suggest only enqueues here; the writer goroutine completes it
+// when the worker replies. Hello is the stream's own version check, not a
+// session op: a client version this server does not know is refused, and
+// the client fails its dial.
+func (s *Service) streamOp(f *wire.Frame, p *streamPending) status {
+	switch f.Type {
+	case wire.THelloReq:
+		if f.Version != wire.Version {
+			return status{code: http.StatusHTTPVersionNotSupported,
+				msg: fmt.Sprintf("sessiond: unsupported wire version %d (server speaks %d)", f.Version, wire.Version)}
 		}
-		if int64(index) > int64(cur) {
-			return 0, 0, false, fmt.Errorf("sessiond: observe index %d ahead of session %s at %d observations", index, sess.id, cur)
+		p.f.Type = wire.THelloResp
+		p.f.Version = wire.Version
+	case wire.TOpenReq:
+		resp, st := s.opOpen(OpenRequest{
+			ID:        string(f.ID),
+			Resources: int(f.Resources),
+			RMin:      f.RMin,
+			Seed:      f.Seed,
+			Init:      int(f.Init),
+			Policy:    string(f.Policy),
+		})
+		if !st.ok() {
+			return st
 		}
+		p.f.Type = wire.TOpenResp
+		if resp.Existing {
+			p.f.Flags |= wire.FlagExisting
+		}
+		if resp.Restored {
+			p.f.Flags |= wire.FlagRestored
+		}
+		if resp.Ephemeral {
+			p.f.Flags |= wire.FlagEphemeral
+		}
+		p.f.Evicted = append(p.f.Evicted[:0], resp.Evicted...)
+		p.f.Observations = uint32(resp.Observations)
+	case wire.TSuggestReq:
+		if st := s.opSuggest(f.ID, &p.job); !st.ok() {
+			return st
+		}
+		p.suggest = true
+	case wire.TObserveReq:
+		resp, st := s.opObserve(f.ID, f.Index, f.Point, f.Cost)
+		if !st.ok() {
+			return st
+		}
+		p.f.Type = wire.TObserveResp
+		p.f.Observations = uint32(resp.Observations)
+	case wire.TCloseReq:
+		p.f.Type = wire.TCloseResp
+		p.f.Closed = s.opClose(string(f.ID)).Closed
+	default:
+		return status{code: http.StatusBadRequest, msg: fmt.Sprintf("sessiond: unexpected %v frame", f.Type)}
 	}
-	n, dirty, err = sess.observeLocked(point, cost)
-	return n, dirty, false, err
-}
-
-// streamClose is the frame twin of handleClose.
-func (s *Service) streamClose(req *wire.Frame, p *streamPending) {
-	closed := s.remove(string(req.ID))
-	if closed {
-		s.metCloses.Inc()
-		s.metSessions.Set(float64(s.sessionCount()))
-	}
-	p.f.Type = wire.TCloseResp
-	p.f.Closed = closed
+	return status{}
 }

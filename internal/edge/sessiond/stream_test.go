@@ -118,7 +118,7 @@ func TestStreamMatchesJSONBitIdentical(t *testing.T) {
 	if _, err := jsonClient.Open(ctx); err != nil {
 		t.Fatalf("json open: %v", err)
 	}
-	streamClient, stream, _ := newStreamedClient(t, ts.URL, "wire-stream", seed)
+	streamClient, _, _ := newStreamedClient(t, ts.URL, "wire-stream", seed)
 	if _, err := streamClient.Open(ctx); err != nil {
 		t.Fatalf("stream open: %v", err)
 	}
@@ -157,59 +157,61 @@ func TestStreamMatchesJSONBitIdentical(t *testing.T) {
 			t.Fatalf("reference observe %d: %v", k, err)
 		}
 	}
-	if got := stream.Mode(); got != "stream" {
-		t.Fatalf("stream client negotiated mode %q, want stream", got)
-	}
 	if err := streamClient.CloseSession(ctx); err != nil {
 		t.Fatalf("stream close: %v", err)
 	}
 }
 
-// TestStreamFallbackOldServer points a stream-enabled client at a server
-// without the /session/stream route (an old binary: its mux 404s unknown
-// paths). Every call must transparently fall back to JSON, the negotiated
-// mode must latch to "json", and — critically — the failed probe must not
-// trip the circuit breaker, because a missing route is not link failure.
-func TestStreamFallbackOldServer(t *testing.T) {
+// TestStreamRoutelessServerFailsFast points a stream-enabled client at a
+// server without the /session/stream route (its mux 404s unknown paths).
+// Each call must fail after one probe, with no retries, and the failure
+// must not look like an eviction (no status code) nor count against the
+// circuit breaker, because a missing route is not link failure.
+func TestStreamRoutelessServerFailsFast(t *testing.T) {
 	svc, err := sessiond.New(sessiond.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("service: %v", err)
 	}
 	defer svc.Close()
 	full := svc.Handler()
-	oldServer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var mu sync.Mutex
+	probes := 0
+	routeless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/session/stream" {
+			mu.Lock()
+			probes++
+			mu.Unlock()
 			http.NotFound(w, r)
 			return
 		}
 		full.ServeHTTP(w, r)
 	}))
-	defer oldServer.Close()
+	defer routeless.Close()
 
 	ctx := context.Background()
-	const seed = 99
-	sc, stream, ec := newStreamedClient(t, oldServer.URL, "old-srv", seed)
-	if _, err := sc.Open(ctx); err != nil {
-		t.Fatalf("open via fallback: %v", err)
+	sc, _, ec := newStreamedClient(t, routeless.URL, "routeless", 99)
+	// More calls than the breaker's failure threshold: none may count.
+	const calls = 8
+	for i := 0; i < calls; i++ {
+		_, err := sc.Open(ctx)
+		if err == nil {
+			t.Fatalf("call %d: open over a route-less server succeeded", i)
+		}
+		if code, ok := edge.StatusCode(err); ok {
+			t.Fatalf("call %d: missing route surfaced as status %d, which readmit logic would take for an eviction", i, code)
+		}
 	}
-	driveSession(t, ctx, sc, seed, 0, 4)
-	if err := sc.CloseSession(ctx); err != nil {
-		t.Fatalf("close via fallback: %v", err)
+	mu.Lock()
+	defer mu.Unlock()
+	if probes != calls {
+		t.Fatalf("%d calls made %d probes, want one each", calls, probes)
 	}
-	if got := stream.Mode(); got != "json" {
-		t.Fatalf("negotiated mode %q, want json", got)
+	if n := ec.Retries(); n != 0 {
+		t.Fatalf("route-less server drew %d retries, want 0", n)
 	}
 	bs := ec.BreakerStats()
-	if bs.State != edge.BreakerClosed {
-		t.Fatalf("breaker state %v after fallback, want closed", bs.State)
-	}
-	if bs.ShortCircuits != 0 {
-		t.Fatalf("breaker short-circuited %d calls during fallback", bs.ShortCircuits)
-	}
-	// "No stream route" is a property of the server, not link sickness: the
-	// probe must not register breaker failures at all.
-	if bs.Failures != 0 {
-		t.Fatalf("fallback recorded %d breaker failures, want 0", bs.Failures)
+	if bs.State != edge.BreakerClosed || bs.Failures != 0 || bs.ShortCircuits != 0 {
+		t.Fatalf("breaker %+v after route-less calls, want closed with no failures", bs)
 	}
 }
 
@@ -236,7 +238,7 @@ func TestStreamReconnectAfterDrop(t *testing.T) {
 	_, ts := newStreamService(t)
 	ctx := context.Background()
 	const seed = 31337
-	sc, stream, ec := newStreamedClient(t, ts.URL, "dropper", seed)
+	sc, _, ec := newStreamedClient(t, ts.URL, "dropper", seed)
 	if _, err := sc.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -267,9 +269,6 @@ func TestStreamReconnectAfterDrop(t *testing.T) {
 		if err := ref.Observe(want, cost); err != nil {
 			t.Fatalf("reference observe %d: %v", k, err)
 		}
-	}
-	if got := stream.Mode(); got != "stream" {
-		t.Fatalf("mode %q after reconnects, want stream — a drop must not demote to JSON", got)
 	}
 	if bs := ec.BreakerStats(); bs.State != edge.BreakerClosed {
 		t.Fatalf("breaker state %v after reconnects, want closed", bs.State)
